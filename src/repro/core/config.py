@@ -140,3 +140,24 @@ class OverlayConfig:
     fluid_flow_accounting: bool = True
     #: Extra per-protocol defaults, e.g. {"nm-strikes": {"n": 3, "m": 2}}.
     protocol_defaults: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # A zero miss threshold declares every link down on its first
+        # hello and the overlay never converges; reject such settings
+        # here, naming the field, instead of deep inside a run.
+        rules = (
+            ("hello_interval", self.hello_interval > 0, "> 0"),
+            ("miss_threshold", self.miss_threshold >= 1, ">= 1"),
+            ("recover_threshold", self.recover_threshold >= 1, ">= 1"),
+            ("loss_alpha", 0 < self.loss_alpha <= 1, "in (0, 1]"),
+            ("latency_alpha", 0 < self.latency_alpha <= 1, "in (0, 1]"),
+            ("columnar_window", self.columnar_window >= 0, ">= 0"),
+            ("dedup_cache", self.dedup_cache > 0, "> 0"),
+            ("route_cache_size", self.route_cache_size > 0, "> 0"),
+            ("forwarding_cache_size", self.forwarding_cache_size > 0, "> 0"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(
+                    f"OverlayConfig.{name} must be {rule}, got {getattr(self, name)!r}"
+                )

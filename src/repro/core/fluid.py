@@ -45,6 +45,19 @@ analytic M/D/1-style queueing delay and a capacity-share delivered
 fraction; loss models are applied as exact interval averages
 (:meth:`LossModel.fluid_rate`).
 
+Plan sharing: a delivery plan (path or tree, per-hop fibers, latencies)
+depends only on the flow's *plan key* — origin node, destination (node
+and port for unicast, the group for multicast) and datagram wire size,
+which prices serialization on capacitated fibers. Each re-solve walks
+the decide stage once per distinct key, not once per flow, so a fluid
+walk costs one forwarding-cache hit per *plan* hop; flows sharing a key
+share the plan object. Per-flow work is what is genuinely per flow:
+adding the flow's rate to the plan's flat lists of links and fiber
+accumulators (in flow order, so every float sum is the same as a
+per-flow walk's), integerizing offered messages, and the byte, flow
+table and delivery accounting at settlement. Edge survival and arrival
+fractions are priced once per plan per interval.
+
 Model limits (documented, by design):
 
 * Only link-state unicast and multicast best-effort flows are fluid;
@@ -62,6 +75,7 @@ Model limits (documented, by design):
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.core.message import (
@@ -112,7 +126,7 @@ class FluidFlow:
     __slots__ = (
         "flow", "origin", "src", "dst", "dst_label", "service", "size",
         "rate", "active", "offered", "deliveries", "frame_wire",
-        "dgram_wire", "started_at", "stopped_at", "_carry",
+        "dgram_wire", "plan_key", "started_at", "stopped_at", "_carry",
     )
 
     def __init__(self, origin: str, src: Address, dst: Address,
@@ -142,6 +156,12 @@ class FluidFlow:
         #: counts) and underlay datagram bytes (what a fiber carries).
         self.frame_wire = FRAME_BASE + OVERLAY_HEADER_BYTES + size
         self.dgram_wire = self.frame_wire + HEADER_BYTES
+        #: Flows with equal keys share one delivery plan per re-solve
+        #: (plain strings and ints: hashing the frozen ``Address`` per
+        #: flow per re-solve is measurable). Multicast ports come from
+        #: group membership, so the destination port is not part of it.
+        self.plan_key = (origin, dst.node, 0 if dst.is_multicast else dst.port,
+                         self.dgram_wire)
         self.started_at: float | None = None
         self.stopped_at: float | None = None
 
@@ -192,29 +212,41 @@ class _Edge:
 
 
 class _PlanNode:
-    """One overlay node in a flow's delivery plan (a path for unicast, a
-    tree for multicast). ``parent``/``edge_idx`` index into the owning
-    plan; ``ports`` are local endpoints to deliver to; ``latency`` is
-    the cumulative source-to-delivery latency (static per interval)."""
+    """One overlay node in a delivery plan (a path for unicast, a tree
+    for multicast). ``parent``/``edge_idx`` index into the owning plan;
+    ``labels`` are the ``"node:port"`` endpoints to deliver to;
+    ``latency`` is the cumulative source-to-delivery latency (static per
+    interval)."""
 
-    __slots__ = ("node_id", "parent", "edge_idx", "ports", "latency")
+    __slots__ = ("node_id", "parent", "edge_idx", "labels", "latency")
 
     def __init__(self, node_id: str, parent: int, edge_idx: int | None) -> None:
         self.node_id = node_id
         self.parent = parent
         self.edge_idx = edge_idx
-        self.ports: tuple = ()
+        self.labels: tuple = ()
         self.latency = 0.0
+
+    def deliver_to(self, ports) -> None:
+        self.labels = tuple(f"{self.node_id}:{port}" for port in ports)
 
 
 class _Plan:
-    """A flow's resolved delivery structure for the current interval."""
+    """The resolved delivery structure for the current interval, shared
+    by every flow with the same plan key. ``links`` and ``slots`` list
+    the non-broken edges' overlay links and per-(fiber, direction)
+    ``[fiber, bps, pps]`` rate accumulators in edge order, so a flow
+    adds its rate by walking two flat lists."""
 
-    __slots__ = ("nodes", "edges")
+    __slots__ = ("nodes", "edges", "frame_bits", "dgram_bits", "links", "slots")
 
-    def __init__(self) -> None:
+    def __init__(self, flow: FluidFlow) -> None:
         self.nodes: list[_PlanNode] = []
         self.edges: list[_Edge] = []
+        self.frame_bits = flow.frame_wire * 8.0
+        self.dgram_bits = flow.dgram_wire * 8.0
+        self.links: list = []
+        self.slots: list[list] = []
 
     def add_node(self, node_id: str, parent: int, edge_idx: int | None) -> int:
         self.nodes.append(_PlanNode(node_id, parent, edge_idx))
@@ -242,9 +274,11 @@ class FluidEngine:
         self.config = network.config
         self.counters = network.counters
         self.flows: dict[str, FluidFlow] = {}
-        #: Per-flow plans and per-(fiber id, direction) ``(share, queue)``
-        #: from the last recompute — constant within an interval.
-        self._plans: dict[str, _Plan] = {}
+        #: Plans by plan key, each flow with its plan (in flow order),
+        #: and per-(fiber id, direction) ``(share, queue)`` from the last
+        #: recompute — constant within an interval.
+        self._plans: dict[tuple, _Plan] = {}
+        self._assigned: list[tuple[FluidFlow, _Plan]] = []
         self._fiber_use: dict[tuple[int, int], tuple[float, float]] = {}
         #: Fiber up/down state captured at the last recompute. Settles
         #: price the *closing* interval, so they must read the state
@@ -322,10 +356,12 @@ class FluidEngine:
         modeled messages per second.
 
         Only link-state unicast/multicast best-effort flows have a fluid
-        representation (see module docstring); anything else raises.
+        representation (see module docstring); anything else raises, as
+        do a non-finite or non-positive ``rate_pps`` or ``size``.
         """
-        if rate_pps <= 0:
-            raise ValueError("fluid rate must be positive")
+        _check_rate(rate_pps, allow_zero=False)
+        if not (size > 0 and math.isfinite(size)):
+            raise ValueError(f"size must be finite and positive, got {size!r}")
         spec = service if service is not None else ServiceSpec()
         validate_fluid_spec(dst, spec)
         flow = FluidFlow(client.node.id, client.address, dst, rate_pps, size, spec)
@@ -352,8 +388,7 @@ class FluidEngine:
 
     def set_rate(self, flow: FluidFlow, rate_pps: float) -> None:
         """Change a flow's modeled rate (a re-solve boundary)."""
-        if rate_pps < 0:
-            raise ValueError("fluid rate must be non-negative")
+        _check_rate(rate_pps, allow_zero=True)
         self._settle(self.sim.now)
         flow.rate = rate_pps
         self.poke("rate-change")
@@ -376,24 +411,16 @@ class FluidEngine:
             return
         dt = now - t0
         self._last_settle = now
-        if not self._plans:
+        if not self._assigned:
             return
-        nodes = self.network.nodes
         counters = self.counters
         accounting = self.config.fluid_flow_accounting
-        fiber_use = self._fiber_use
-        # Interval survival per fiber (loss is direction-independent;
-        # capacity share is per direction and folded in per edge below).
-        # Up/down state comes from the recompute-time capture, not the
-        # live fiber: a fail/repair lands mid-interval and must not
-        # retroactively reprice the window before it.
         surv_memo: dict[int, float] = {}
-        fiber_failed = self._fiber_failed
+        walks: dict[_Plan, list] = {}
         total_offered = 0.0
         total_delivered = 0.0
-        for fid, plan in self._plans.items():
-            flow = self.flows.get(fid)
-            if flow is None or flow.rate <= 0:
+        for flow, plan in self._assigned:
+            if not flow.active or flow.rate <= 0:
                 continue
             # Integerize at the boundary: offer whole messages, carry
             # the fractional remainder forward. The 1e-9 guard absorbs
@@ -406,78 +433,103 @@ class FluidEngine:
                 continue
             flow.offered += offered
             total_offered += offered
+            walk = walks.get(plan)
+            if walk is None:
+                walk = walks[plan] = self._walk(plan, t0, now, surv_memo)
             size = float(flow.size)
             frame_wire = float(flow.frame_wire)
             dgram_wire = float(flow.dgram_wire)
-            edge_surv = []
-            for edge in plan.edges:
-                if edge.broken:
-                    edge_surv.append(0.0)
+            for pipeline, role, upstream, link, fibers, frac, labels, latency in walk:
+                if link is not None:
+                    sent = offered * upstream
+                    link.fluid_bytes_sent += sent * frame_wire
+                    for fiber in fibers:
+                        fiber.fluid_bytes += sent * dgram_wire
+                if frac <= 0.0:
                     continue
-                s = 1.0
-                for fiber, direction in edge.fibers:
-                    key = id(fiber)
-                    fs = surv_memo.get(key)
-                    if fs is None:
-                        if fiber_failed.get(key, fiber.failed):
-                            fs = 0.0
-                        else:
-                            fs = max(0.0, 1.0 - fiber.loss.fluid_rate(t0, now))
-                        surv_memo[key] = fs
-                    share = fiber_use.get((key, direction), (1.0, 0.0))[0]
-                    s *= fs * share
-                edge_surv.append(s)
-            arrive = [0.0] * len(plan.nodes)
-            for i, pn in enumerate(plan.nodes):
-                if pn.parent < 0:
-                    frac = 1.0
+                msgs = offered * frac
+                if accounting:
+                    pipeline.classify_fluid(
+                        flow.flow, flow.origin, flow.dst_label, flow.service,
+                        role, msgs, msgs * size,
+                    )
+                if labels:
                     if accounting:
-                        nodes[pn.node_id].pipeline.classify_fluid(
+                        pipeline.classify_fluid(
                             flow.flow, flow.origin, flow.dst_label,
-                            flow.service, "origin", offered, offered * size,
+                            flow.service, "delivered", msgs, msgs * size,
                         )
-                else:
-                    upstream = arrive[pn.parent]
-                    edge = plan.edges[pn.edge_idx]
-                    if upstream > 0.0 and not edge.broken:
-                        sent = offered * upstream
-                        edge.link.fluid_bytes_sent += sent * frame_wire
-                        for fiber, __ in edge.fibers:
-                            fiber.fluid_bytes += sent * dgram_wire
-                    frac = upstream * edge_surv[pn.edge_idx]
-                    if accounting and frac > 0.0:
-                        nodes[pn.node_id].pipeline.classify_fluid(
-                            flow.flow, flow.origin, flow.dst_label,
-                            flow.service, "forwarded",
-                            offered * frac, offered * frac * size,
-                        )
-                arrive[i] = frac
-                if pn.ports and frac > 0.0:
-                    delivered = offered * frac
-                    if accounting:
-                        nodes[pn.node_id].pipeline.classify_fluid(
-                            flow.flow, flow.origin, flow.dst_label,
-                            flow.service, "delivered",
-                            delivered, delivered * size,
-                        )
-                    label = pn.node_id
-                    for port in pn.ports:
-                        flow._account(f"{label}:{port}", delivered, pn.latency)
-                    total_delivered += delivered * len(pn.ports)
+                    for label in labels:
+                        flow._account(label, msgs, latency)
+                    total_delivered += msgs * len(labels)
         if total_offered:
             counters.add("fluid.msgs-offered", total_offered)
         if total_delivered:
             counters.add("fluid.msgs-delivered", total_delivered)
         counters.add("fluid.intervals")
 
+    def _walk(self, plan: _Plan, t0: float, now: float, surv_memo: dict) -> list:
+        """Price one plan for the closing interval: per plan node, in
+        node order, ``(pipeline, role, upstream, link, fibers, frac,
+        labels, latency)`` where ``upstream``/``frac`` are the fractions
+        of offered messages reaching the hop's sender/the node and
+        ``link`` is the overlay link carrying them (``None`` at the root
+        or when nothing crosses). Nodes with nothing to settle are left
+        out."""
+        nodes = self.network.nodes
+        fiber_use = self._fiber_use
+        # Loss is direction-independent; capacity share is per direction.
+        # Up/down state comes from the recompute-time capture, not the
+        # live fiber: a fail/repair lands mid-interval and must not
+        # retroactively reprice the window before it.
+        fiber_failed = self._fiber_failed
+        edge_surv = []
+        for edge in plan.edges:
+            if edge.broken:
+                edge_surv.append(0.0)
+                continue
+            s = 1.0
+            for fiber, direction in edge.fibers:
+                key = id(fiber)
+                fs = surv_memo.get(key)
+                if fs is None:
+                    if fiber_failed.get(key, fiber.failed):
+                        fs = 0.0
+                    else:
+                        fs = max(0.0, 1.0 - fiber.loss.fluid_rate(t0, now))
+                    surv_memo[key] = fs
+                share = fiber_use.get((key, direction), (1.0, 0.0))[0]
+                s *= fs * share
+            edge_surv.append(s)
+        arrive: list[float] = []
+        walk = []
+        for pn in plan.nodes:
+            link = None
+            fibers: tuple = ()
+            if pn.parent < 0:
+                role, upstream, frac = "origin", 1.0, 1.0
+            else:
+                role = "forwarded"
+                upstream = arrive[pn.parent]
+                edge = plan.edges[pn.edge_idx]
+                if upstream > 0.0 and not edge.broken:
+                    link = edge.link
+                    fibers = tuple(fiber for fiber, __ in edge.fibers)
+                frac = upstream * edge_surv[pn.edge_idx]
+            arrive.append(frac)
+            if link is not None or frac > 0.0:
+                walk.append((nodes[pn.node_id].pipeline, role, upstream, link,
+                             fibers, frac, pn.labels, pn.latency))
+        return walk
+
     # ------------------------------------------------------------- recompute
 
     def _recompute(self) -> None:
         """Re-solve the fluid system for the opening interval: resolve
-        every flow's overlay path/tree through the packet pipeline's
+        one overlay path/tree per plan key through the packet pipeline's
         cached decide stage, sum per-(fiber, direction) fluid rates,
         derive analytic queueing/capacity terms, and precompute each
-        destination's constant interval latency."""
+        plan's constant per-destination interval latency."""
         self.resolves += 1
         self.counters.add("fluid.resolve")
         now = self.sim.now
@@ -486,37 +538,50 @@ class FluidEngine:
             for link in node.links.values():
                 link.fluid_rate_bps = 0.0
         route_cache: dict[int, object] = {}
-        plans: dict[str, _Plan] = {}
+        plans: dict[tuple, _Plan] = {}
+        assigned: list[tuple[FluidFlow, _Plan]] = []
         use_acc: dict[tuple[int, int], list] = {}
         fiber_failed: dict[int, bool] = {}
         for flow in self.flows.values():
-            plan = self._plan_flow(flow, route_cache)
-            plans[flow.flow] = plan
+            plan = plans.get(flow.plan_key)
+            if plan is None:
+                plan = plans[flow.plan_key] = self._plan_flow(flow, route_cache)
+                for edge in plan.edges:
+                    if edge.broken:
+                        continue
+                    plan.links.append(edge.link)
+                    for fiber, direction in edge.fibers:
+                        if id(fiber) not in fiber_failed:
+                            fiber_failed[id(fiber)] = fiber.failed
+                        key = (id(fiber), direction)
+                        acc = use_acc.get(key)
+                        if acc is None:
+                            acc = use_acc[key] = [fiber, 0.0, 0.0]
+                        plan.slots.append(acc)
+            assigned.append((flow, plan))
             rate = flow.rate
             if rate <= 0:
                 continue
-            frame_bits = flow.frame_wire * 8.0
-            dgram_bits = flow.dgram_wire * 8.0
-            for edge in plan.edges:
-                if edge.broken:
-                    continue
-                edge.link.fluid_rate_bps += rate * frame_bits
-                for fiber, direction in edge.fibers:
-                    if id(fiber) not in fiber_failed:
-                        fiber_failed[id(fiber)] = fiber.failed
-                    key = (id(fiber), direction)
-                    acc = use_acc.get(key)
-                    if acc is None:
-                        acc = use_acc[key] = [fiber, 0.0, 0.0]
-                    acc[1] += rate * dgram_bits
-                    acc[2] += rate
+            link_bps = rate * plan.frame_bits
+            for link in plan.links:
+                link.fluid_rate_bps += link_bps
+            fiber_bps = rate * plan.dgram_bits
+            for acc in plan.slots:
+                acc[1] += fiber_bps
+                acc[2] += rate
+        self.counters.add("fluid.plans", len(plans))
         fiber_use: dict[tuple[int, int], tuple[float, float]] = {}
         boundary: float | None = None
         seen_fibers: set[int] = set()
         max_queue = FiberLink.MAX_QUEUE_DELAY
         for key, (fiber, bps, pps) in use_acc.items():
+            if bps <= 0.0:
+                # Crossed only by zero-rate flows: no load, and no loss
+                # boundary worth a re-solve.
+                fiber_use[key] = (1.0, 0.0)
+                continue
             cap = fiber.capacity_bps
-            if cap is None or bps <= 0.0:
+            if cap is None:
                 share, queue = 1.0, 0.0
             elif bps >= cap:
                 # Overloaded direction: the link delivers its capacity;
@@ -542,9 +607,8 @@ class FluidEngine:
         self._fiber_failed = fiber_failed
         proc = self.config.proc_delay
         hosts = self.internet.hosts
-        for flow in self.flows.values():
-            plan = plans[flow.flow]
-            dgram_bits = flow.dgram_wire * 8.0
+        for plan in plans.values():
+            dgram_bits = plan.dgram_bits
             for edge in plan.edges:
                 if edge.broken:
                     continue
@@ -566,6 +630,7 @@ class FluidEngine:
                     pn.latency = (plan_nodes[pn.parent].latency
                                   + plan.edges[pn.edge_idx].latency + proc)
         self._plans = plans
+        self._assigned = assigned
         self._subscribe_domains()
         if boundary is not None and boundary > now:
             self._boundary_timer.reschedule(boundary - now)
@@ -576,7 +641,7 @@ class FluidEngine:
 
     def _resolve_link(self, link, route_cache: dict):
         """The (fiber, direction) hops an overlay link's current carrier
-        rides, shared across flows within one recompute; ``None`` marks
+        rides, shared across plans within one recompute; ``None`` marks
         a hop where packets would die (muted endpoint / no route)."""
         key = id(link)
         fibers = route_cache.get(key, _UNSET)
@@ -591,7 +656,8 @@ class FluidEngine:
         return fibers
 
     def _plan_flow(self, flow: FluidFlow, route_cache: dict) -> _Plan:
-        plan = _Plan()
+        """Walk the plan for ``flow``'s plan key."""
+        plan = _Plan(flow)
         nodes = self.network.nodes
         origin = flow.origin
         dst = flow.dst
@@ -604,7 +670,7 @@ class FluidEngine:
         root = plan.add_node(origin, -1, None)
         if dst.node == origin:
             if dst.port in nodes[origin].session.clients:
-                plan.nodes[root].ports = (dst.port,)
+                plan.nodes[root].deliver_to((dst.port,))
             return plan
         current, cur_idx = origin, root
         seen = {origin}
@@ -627,7 +693,7 @@ class FluidEngine:
             current = nxt
             if current == dst.node:
                 if dst.port in nodes[current].session.clients:
-                    plan.nodes[cur_idx].ports = (dst.port,)
+                    plan.nodes[cur_idx].deliver_to((dst.port,))
                 return plan
 
     def _grow_tree(
@@ -641,11 +707,9 @@ class FluidEngine:
         nodes = self.network.nodes
         node = nodes[node_id]
         idx = plan.add_node(node_id, parent_idx, edge_idx)
-        ports = tuple(
+        plan.nodes[idx].deliver_to(
             e.port for e in node.session.clients.values() if group in e.groups
         )
-        if ports:
-            plan.nodes[idx].ports = ports
         for child in node.pipeline.fluid_multicast_children(origin, group):
             if child == parent_id or child in seen:
                 continue
@@ -664,10 +728,22 @@ class FluidEngine:
     # -------------------------------------------------------------- reporting
 
     def summary(self) -> dict:
-        """Engine-level snapshot (surfaced by ``OverlayNetwork.status``)."""
+        """Engine-level snapshot (surfaced by ``OverlayNetwork.status``).
+        ``plans`` is the current interval's plan count (``flows / plans``
+        is the sharing factor); ``plans_built`` totals every re-solve's."""
         return {
             "flows": len(self.flows),
+            "plans": len(self._plans),
             "resolves": self.resolves,
+            "plans_built": self.counters.get("fluid.plans"),
             "offered": self.counters.get("fluid.msgs-offered"),
             "delivered": self.counters.get("fluid.msgs-delivered"),
         }
+
+
+def _check_rate(rate_pps: float, allow_zero: bool) -> None:
+    """Reject a NaN, infinite, negative (or, unless ``allow_zero``,
+    zero) modeled rate before it can reach a settlement."""
+    if not math.isfinite(rate_pps) or rate_pps < 0 or (rate_pps == 0 and not allow_zero):
+        bound = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"rate_pps must be finite and {bound}, got {rate_pps!r}")

@@ -318,3 +318,134 @@ def test_fluid_traffic_lands_in_flow_tables():
     assert status["fluid"]["flows"] == 1
     assert status["fluid"]["offered"] == pytest.approx(
         source.fluid_flow.offered)
+
+
+# ------------------------------------------------------------ plan sharing
+
+
+def _start(engine, scn, src, port, dst, rate=10.0, size=1200):
+    return engine.add_flow(scn.overlay.client(src, port), dst, rate, size=size)
+
+
+def test_flows_with_equal_plan_keys_share_one_plan():
+    scn = triangle_scenario(seed=41)
+    engine = scn.overlay.fluid_engine()
+    scn.overlay.client("hy", 7)
+    flows = [_start(engine, scn, "hx", 100 + i, Address("hy", 7))
+             for i in range(3)]
+    other = _start(engine, scn, "hz", 200, Address("hy", 7))
+    scn.run_for(1.0)
+    plan_of = dict((f.flow, plan) for f, plan in engine._assigned)
+    assert plan_of[flows[0].flow] is plan_of[flows[1].flow] is plan_of[flows[2].flow]
+    assert plan_of[other.flow] is not plan_of[flows[0].flow]
+    summary = engine.summary()
+    assert (summary["flows"], summary["plans"]) == (4, 2)
+    # One plan per key per re-solve, counted next to the re-solves.
+    assert engine.counters.get("fluid.plans") == summary["plans_built"]
+    assert summary["plans_built"] == 2 * engine.resolves
+    engine.settle_now()
+    for flow in flows:
+        assert flow.delivered("hy:7") == pytest.approx(flow.offered)
+
+
+def test_sizes_keep_distinct_latencies_over_capacitated_fiber():
+    from repro.analysis.scenarios import continental_scenario
+
+    scn = continental_scenario(seed=42, capacity_bps=2_000_000.0)
+    engine = scn.overlay.fluid_engine()
+    scn.overlay.client("site-LAX", 7)
+    dst = Address("site-LAX", 7)
+    big = _start(engine, scn, "site-NYC", 100, dst, rate=50.0, size=1200)
+    small = _start(engine, scn, "site-NYC", 101, dst, rate=50.0, size=200)
+    scn.run_for(1.0)
+    engine.settle_now()
+    assert len(engine._plans) == 2
+    big_lat = {lat for __, lat in big.intervals("site-LAX:7")}
+    small_lat = {lat for __, lat in small.intervals("site-LAX:7")}
+    # Same path, same queue: the larger datagram pays more serialization.
+    assert len(big_lat) == len(small_lat) == 1
+    assert big_lat.pop() > small_lat.pop()
+
+
+def test_sibling_flow_to_absent_port_delivers_nothing():
+    scn = triangle_scenario(seed=43)
+    engine = scn.overlay.fluid_engine()
+    scn.overlay.client("hy", 7)
+    present = _start(engine, scn, "hx", 100, Address("hy", 7))
+    absent = _start(engine, scn, "hx", 101, Address("hy", 99))
+    scn.run_for(2.0)
+    engine.settle_now()
+    assert absent.offered == present.offered > 0
+    assert absent.deliveries == {}
+    assert present.delivered("hy:7") == pytest.approx(present.offered)
+
+
+def test_multicast_flows_from_one_origin_share_a_plan():
+    scn = triangle_scenario(seed=44)
+    engine = scn.overlay.fluid_engine()
+    for site in ("hy", "hz"):
+        scn.overlay.client(site, 9000).join("mcast:g")
+    scn.run_for(1.0)  # GSUs flood
+    flows = [_start(engine, scn, "hx", 100 + i, Address("mcast:g", 9000))
+             for i in range(2)]
+    scn.run_for(2.0)
+    engine.settle_now()
+    plans = {id(plan) for __, plan in engine._assigned}
+    assert len(plans) == 1
+    for flow in flows:
+        assert flow.delivered("hy:9000") == pytest.approx(flow.offered)
+        assert flow.delivered("hz:9000") == pytest.approx(flow.offered)
+
+
+def test_zero_rate_flow_on_capacitated_path_resolves():
+    """A flow paused at rate 0 alone on capacitated fibers carries no
+    load; the re-solve prices its (idle) hops instead of failing."""
+    from repro.analysis.scenarios import continental_scenario
+
+    scn = continental_scenario(seed=45, capacity_bps=5_000_000.0)
+    engine = scn.overlay.fluid_engine()
+    scn.overlay.client("site-LAX", 7)
+    flow = _start(engine, scn, "site-NYC", 100, Address("site-LAX", 7))
+    scn.run_for(0.5)
+    engine.set_rate(flow, 0.0)
+    scn.run_for(0.5)
+    engine.settle_now()
+    assert flow.offered == pytest.approx(5.0)
+    engine.set_rate(flow, 10.0)
+    scn.run_for(0.5)
+    engine.settle_now()
+    assert flow.offered == pytest.approx(10.0)
+
+
+# ------------------------------------------------------- input validation
+
+
+@pytest.mark.parametrize("kwargs, argument", [
+    ({"rate_pps": math.nan}, "rate_pps"),
+    ({"rate_pps": math.inf}, "rate_pps"),
+    ({"rate_pps": 0.0}, "rate_pps"),
+    ({"rate_pps": -1.0}, "rate_pps"),
+    ({"rate_pps": 10.0, "size": 0}, "size"),
+    ({"rate_pps": 10.0, "size": -5}, "size"),
+    ({"rate_pps": 10.0, "size": math.inf}, "size"),
+])
+def test_add_flow_rejects_bad_rate_and_size(kwargs, argument):
+    scn = triangle_scenario(seed=46)
+    engine = scn.overlay.fluid_engine()
+    with pytest.raises(ValueError, match=argument):
+        engine.add_flow(scn.overlay.client("hx"), Address("hy", 7), **kwargs)
+    assert not engine.flows
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1.0])
+def test_set_rate_rejects_non_finite_or_negative(rate):
+    scn = triangle_scenario(seed=47)
+    engine, source = _fluid_cbr(scn, "hx", "hy", rate=10.0)
+    source.start()
+    scn.run_for(0.5)
+    with pytest.raises(ValueError, match="rate_pps"):
+        engine.set_rate(source.fluid_flow, rate)
+    assert source.fluid_flow.rate == 10.0
+    scn.run_for(0.5)
+    engine.settle_now()  # the flow still settles cleanly
+    assert source.fluid_flow.offered == pytest.approx(10.0)
