@@ -1,18 +1,12 @@
-"""Simulator-core throughput: timer recycling + control-plane fast path.
+"""Simulator-core throughput: the recycled heap and the columnar wheel.
 
 Steady state is where the simulator lives: a 16-node overlay (ring +
 chords, one ISP) with every link endpoint probing two carriers at 10 Hz
 plus check ticks, LSU refreshes, and reliable-protocol ack timers. No
 churn, no loss — the wall clock is pure event-engine and control-plane
-cost, which is exactly what PR 3 attacks:
+cost. Two engines run it:
 
-* **baseline** — ``Simulator(recycle_timers=False)`` (every periodic
-  firing allocates a fresh chained one-shot ``Event``, every datagram
-  hop a fresh continuation event) combined with
-  ``OverlayConfig(control_fastpath=False)`` (a new delivery lambda per
-  frame, per-frame carrier resolution, a fresh hello feedback dict per
-  tick) — the pre-PR cost model;
-* **fast** — the defaults: periodic timers recycle one heap entry
+* **recycled** — the defaults: periodic timers recycle one heap entry
   across firings, datagram hop chains recycle one continuation event,
   and the hello hot path reuses its pre-bound callback / pre-resolved
   channel / version-stamped feedback snapshot;
@@ -22,11 +16,11 @@ cost, which is exactly what PR 3 attacks:
   amortizes per-link work across same-instant crossings (see
   DESIGN.md, "Columnar data plane").
 
-All modes allocate event sequence numbers at identical points, so the
-delivery traces must be **byte-identical** — recycling and batching
-change where objects come from and how the queue is organized, never
-what happens. The run writes ``BENCH_simcore.json`` next to the repo
-root so the perf trajectory is tracked from this PR onward.
+Both engines allocate event sequence numbers at identical points, so
+the delivery traces must be **byte-identical** — batching changes how
+the queue is organized, never what happens. The run writes
+``BENCH_simcore.json`` next to the repo root so the perf trajectory is
+tracked across changes.
 
 The scaling table (``SCALE_LEGS``) runs the same 64-flow CBR fleet at
 n=100/300/1000, once per engine (packet / columnar / vectorized /
@@ -68,10 +62,8 @@ calibration deltas (``vector_calibration``,
 :mod:`repro.analysis.calibrate`) that bound what the approximation
 costs in fidelity.
 
-Expected shape: byte-identical traces, ``timer.fired`` ==
-``timer.fired`` across modes, fewer live allocation blocks in fast
-mode, and (asserted in full ``__main__`` runs only, to keep CI smoke
-deterministic) >= 1.4x wall-clock speedup.
+Expected shape: byte-identical traces and equal ``timer.fired``
+across the two engines, and no columnar wall-clock regression at n=16.
 """
 
 import gc
@@ -165,14 +157,14 @@ def _mesh_internet(sim, rngs):
     return inet
 
 
-def _run_once(fast: bool, run_time: float, trace_allocs: bool = False,
+def _run_once(run_time: float, trace_allocs: bool = False,
               columnar: bool = False) -> dict:
-    sim = Simulator(recycle_timers=fast, columnar=columnar)
+    sim = Simulator(columnar=columnar)
     rngs = RngRegistry(SEED)
     internet = _mesh_internet(sim, rngs)
     sites = [f"n{i:02d}" for i in range(N_NODES)]
     links = [(f"n{a[1:]}", f"n{b[1:]}") for a, b in FIBERS]
-    config = OverlayConfig(control_fastpath=fast, columnar=columnar)
+    config = OverlayConfig(columnar=columnar)
     overlay = OverlayNetwork(internet, sites, links, config)
     with bench_phase("warmup"):
         overlay.warm_up(2.0)
@@ -186,7 +178,7 @@ def _run_once(fast: bool, run_time: float, trace_allocs: bool = False,
 
     # A handful of CBR flows keeps the reliable-protocol ack/tail timers
     # and the data plane alive; the bulk of the event volume is still
-    # the control plane's periodic machinery — the target of this PR.
+    # the control plane's periodic machinery.
     for src, sink in (("n00", "n08"), ("n03", "n11"), ("n05", "n13"),
                       ("n10", "n02")):
         overlay.client(sink, 7, on_message=receiver(sink))
@@ -557,57 +549,40 @@ def _vector_calibration_block(run_time: float) -> dict:
 def run_simcore(run_time: float = RUN_TIME, alloc_time: float = 4.0,
                 repeats: int = 3, quick: bool = False) -> dict:
     # Timing legs first (no tracemalloc — it would dominate the cost),
-    # then short instrumented legs for the allocation story. Wall time
+    # then a short instrumented leg for the allocation story. Wall time
     # is best-of-``repeats``, legs interleaved, so an OS scheduling
-    # hiccup costs one sample rather than skewing one whole mode —
+    # hiccup costs one sample rather than skewing one whole engine —
     # every leg is deterministic, so min is the honest estimator.
-    baseline = _run_once(False, run_time)
-    fast = _run_once(True, run_time)
-    assert_identical(
-        fast["deliveries"], baseline["deliveries"], label="deliveries",
-        header="timer recycling / control fast path changed behaviour — "
-        "delivery traces must be byte-identical",
-    )
-    assert fast["timer_fired"] == baseline["timer_fired"], (
-        "both modes must fire the same periodic timers the same "
-        "number of times"
-    )
+    recycled = _run_once(run_time)
     # The columnar data plane must be invisible in behaviour at n=16:
     # byte-identical deliveries, identical timer firings, and (gated
     # softly in _check_shape) no wall-clock regression against the
-    # per-packet fast path.
-    columnar = _run_once(True, run_time, columnar=True)
+    # recycled heap.
+    columnar = _run_once(run_time, columnar=True)
     assert_identical(
-        columnar["deliveries"], baseline["deliveries"], label="deliveries",
+        columnar["deliveries"], recycled["deliveries"], label="deliveries",
         header="columnar data plane changed behaviour — delivery traces "
         "must be byte-identical with columnar=False",
     )
-    assert columnar["timer_fired"] == baseline["timer_fired"], (
+    assert columnar["timer_fired"] == recycled["timer_fired"], (
         "the slot-bucket wheel must fire the same periodic timers the "
         "same number of times as the heap engine"
     )
-    base_wall = baseline["wall_s"]
-    fast_wall = fast["wall_s"]
+    heap_wall = recycled["wall_s"]
     col_wall = columnar["wall_s"]
     for _ in range(repeats - 1):
-        again = _run_once(False, run_time)
-        assert_identical(again["deliveries"], baseline["deliveries"],
+        again = _run_once(run_time)
+        assert_identical(again["deliveries"], recycled["deliveries"],
                          label="deliveries",
-                         header="baseline repeat run diverged from itself")
-        base_wall = min(base_wall, again["wall_s"])
-        again = _run_once(True, run_time)
-        assert_identical(again["deliveries"], baseline["deliveries"],
-                         label="deliveries",
-                         header="fast repeat run diverged from the baseline")
-        fast_wall = min(fast_wall, again["wall_s"])
-        again = _run_once(True, run_time, columnar=True)
-        assert_identical(again["deliveries"], baseline["deliveries"],
+                         header="recycled repeat run diverged from itself")
+        heap_wall = min(heap_wall, again["wall_s"])
+        again = _run_once(run_time, columnar=True)
+        assert_identical(again["deliveries"], recycled["deliveries"],
                          label="deliveries",
                          header="columnar repeat run diverged from the "
-                         "baseline")
+                         "recycled heap")
         col_wall = min(col_wall, again["wall_s"])
-    alloc_baseline = _run_once(False, alloc_time, trace_allocs=True)
-    alloc_fast = _run_once(True, alloc_time, trace_allocs=True)
+    alloc = _run_once(alloc_time, trace_allocs=True)
     scaling = run_scaling(quick=quick)
     summary = _scaling_summary(scaling)
     vector_calibration = _vector_calibration_block(
@@ -626,21 +601,16 @@ def run_simcore(run_time: float = RUN_TIME, alloc_time: float = 4.0,
         "scaling_summary": summary,
         "vector_calibration": vector_calibration,
         "run_time_s": run_time,
-        "delivered_msgs": len(fast["deliveries"]),
-        "events": fast["events"],
-        "baseline_wall_s": base_wall,
-        "fast_wall_s": fast_wall,
-        "speedup": base_wall / fast_wall,
-        "baseline_events_per_s": baseline["events"] / base_wall,
-        "fast_events_per_s": fast["events"] / fast_wall,
+        "delivered_msgs": len(recycled["deliveries"]),
+        "events": recycled["events"],
+        "recycled_wall_s": heap_wall,
+        "recycled_events_per_s": recycled["events"] / heap_wall,
         "columnar_wall_s": col_wall,
         "columnar_events_per_s": columnar["events"] / col_wall,
-        "timer_fired": fast["timer_fired"],
-        "timer_rearmed": fast["timer_rearmed"],
-        "baseline_alloc_blocks": alloc_baseline["alloc_blocks"],
-        "fast_alloc_blocks": alloc_fast["alloc_blocks"],
-        "baseline_alloc_peak_kb": alloc_baseline["alloc_peak_kb"],
-        "fast_alloc_peak_kb": alloc_fast["alloc_peak_kb"],
+        "timer_fired": recycled["timer_fired"],
+        "timer_rearmed": recycled["timer_rearmed"],
+        "recycled_alloc_blocks": alloc["alloc_blocks"],
+        "recycled_alloc_peak_kb": alloc["alloc_peak_kb"],
     }
 
 
@@ -655,14 +625,8 @@ def _check_shape(result: dict) -> None:
     # The recycled engine did real periodic work, and re-armed in place.
     assert result["timer_fired"] > 0, result
     assert result["timer_rearmed"] > 0, result
-    # Zero-allocation claim, in tracemalloc terms: the fast path keeps
-    # fewer live blocks from the run phase than allocate-per-tick does.
-    assert result["fast_alloc_blocks"] <= result["baseline_alloc_blocks"], result
-    # Timing shape (soft here; the >= 1.4x gate is asserted by full
-    # `__main__` runs where the machine is not doing anything else).
-    assert result["fast_wall_s"] <= result["baseline_wall_s"] * 1.1, result
-    # Columnar no-regression at n=16 (soft, same machine-noise caveat).
-    assert result["columnar_wall_s"] <= result["fast_wall_s"] * 1.15, result
+    # Columnar no-regression at n=16 (soft: machine noise).
+    assert result["columnar_wall_s"] <= result["recycled_wall_s"] * 1.15, result
     # Scaling legs: wherever a fluid leg ran next to a packet leg, the
     # fluid run modeled the same client fleet with strictly fewer
     # events than the per-datagram run. The vectorized leg's claim is
@@ -709,13 +673,11 @@ def bench_simcore(benchmark):
         benchmark, lambda: run_simcore(quick=True))
     print_table(
         "Simulator core, steady-state 16-node overlay "
-        f"({result['delivered_msgs']} identical deliveries both modes)",
+        f"({result['delivered_msgs']} identical deliveries both engines)",
         ["engine", "wall s", "events/s", "alloc blocks"],
         [
-            ("allocate-per-tick (pre-PR)", result["baseline_wall_s"],
-             result["baseline_events_per_s"], result["baseline_alloc_blocks"]),
-            ("recycled + fast path", result["fast_wall_s"],
-             result["fast_events_per_s"], result["fast_alloc_blocks"]),
+            ("recycled heap", result["recycled_wall_s"],
+             result["recycled_events_per_s"], result["recycled_alloc_blocks"]),
             ("columnar", result["columnar_wall_s"],
              result["columnar_events_per_s"], "-"),
         ],
@@ -732,7 +694,7 @@ def bench_simcore(benchmark):
             ],
         )
     print_table(
-        "Timer engine counters (fast mode)",
+        "Timer engine counters (recycled heap)",
         ["counter", "value"],
         [
             ("timer.fired", result["timer_fired"]),
@@ -749,7 +711,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="short run (CI smoke mode; skips the "
-                        "speedup gate, which needs a quiet machine)")
+                        "scaling gates, which need a quiet machine)")
     add_profile_arg(parser)
     add_audit_arg(parser)
     args = parser.parse_args()
@@ -764,10 +726,6 @@ if __name__ == "__main__":
     write_result(result)
     print(f"wrote {os.path.normpath(RESULT_PATH)}")
     if not args.quick:
-        assert result["speedup"] >= 1.4, (
-            f"expected >= 1.4x steady-state speedup, got "
-            f"{result['speedup']:.2f}x"
-        )
         # The warm-start ratio only exists when this run actually paid
         # an organic storm (a cold store constructs instead — the whole
         # point of constructed convergence on the multi-fiber mesh).

@@ -55,15 +55,6 @@ class OverlayConfig:
             ``bench_forwarding_cache`` baseline).
         forwarding_cache_size: Bound on cached forwarding decisions per
             node; the table is cleared when exceeded.
-        control_fastpath: Enable the zero-allocation control-plane fast
-            path on overlay links: one pre-bound delivery callback per
-            link endpoint (instead of a fresh closure per frame),
-            pre-resolved underlay :class:`repro.net.internet.Channel`
-            objects per (link, carrier), and a version-stamped hello
-            ``feedback`` snapshot that is only rebuilt when a carrier's
-            loss estimate actually moved. Behaviour-neutral — disabling
-            it restores the allocate-per-frame path (the
-            ``bench_simcore`` baseline) with byte-identical traces.
         audit: Arm the runtime invariant auditor
             (:mod:`repro.audit`): the overlay is built with audited
             cache variants that re-derive a sampled fraction of hits
@@ -94,7 +85,6 @@ class OverlayConfig:
     route_debug_check: bool = False
     forwarding_cache: bool = True
     forwarding_cache_size: int = 65_536
-    control_fastpath: bool = True
     audit: bool = False
     #: Columnar data plane: run over a simulator in columnar mode
     #: (``Simulator(columnar=True)``), where the event queue keeps one
@@ -124,13 +114,6 @@ class OverlayConfig:
     #: missing numpy raises :class:`repro.vector.MissingNumpyError` at
     #: overlay construction.
     columnar_vectorized: bool = False
-    #: Minimum records in the slot being drained before the exact
-    #: columnar data plane uses the per-(slot, link) instant-profile
-    #: memo (below it, memo bookkeeping costs more than it amortizes).
-    #: Selects an implementation, never an outcome — traces are
-    #: byte-identical at any value. See ``_MIN_SLOT_FANOUT`` in
-    #: :mod:`repro.net.internet` for the measured default.
-    columnar_min_fanout: int = 4
     #: Settle fluid rate intervals into the per-node FlowTables (the
     #: classify stage's fluid half), so operators see one aggregate
     #: packet+fluid view. Disable for very large fluid fleets (hundreds
@@ -144,13 +127,23 @@ class OverlayConfig:
     def __post_init__(self) -> None:
         # A zero miss threshold declares every link down on its first
         # hello and the overlay never converges; reject such settings
-        # here, naming the field, instead of deep inside a run.
+        # here, naming the field, instead of deep inside a run. Every
+        # comparison is written so that NaN fails it.
+        capacity = self.access_capacity_bps
         rules = (
             ("hello_interval", self.hello_interval > 0, "> 0"),
             ("miss_threshold", self.miss_threshold >= 1, ">= 1"),
             ("recover_threshold", self.recover_threshold >= 1, ">= 1"),
+            ("proc_delay", self.proc_delay >= 0, ">= 0"),
+            ("lsu_refresh", self.lsu_refresh > 0, "> 0"),
             ("loss_alpha", 0 < self.loss_alpha <= 1, "in (0, 1]"),
             ("latency_alpha", 0 < self.latency_alpha <= 1, "in (0, 1]"),
+            ("loss_cost_factor", self.loss_cost_factor >= 0, ">= 0"),
+            ("cost_change_threshold", self.cost_change_threshold >= 0, ">= 0"),
+            ("carrier_loss_switch", 0 <= self.carrier_loss_switch <= 1, "in [0, 1]"),
+            ("access_capacity_bps", capacity is None or capacity > 0, "None or > 0"),
+            ("crypto_sign_delay", self.crypto_sign_delay >= 0, ">= 0"),
+            ("crypto_verify_delay", self.crypto_verify_delay >= 0, ">= 0"),
             ("columnar_window", self.columnar_window >= 0, ">= 0"),
             ("dedup_cache", self.dedup_cache > 0, "> 0"),
             ("route_cache_size", self.route_cache_size > 0, "> 0"),

@@ -47,10 +47,9 @@ _MAX_HOPS = 64
 #: plane bothers with the per-(slot, link) instant-profile memo. Below
 #: this, profile bookkeeping costs more than it amortizes (measured on
 #: the Gilbert-Elliott mesh, where forwards land at scattered instants).
-#: Configurable per overlay via ``OverlayConfig.columnar_min_fanout``
-#: (an implementation threshold — traces are byte-identical at any
-#: value); this default is the n=100/300/1000 crossover pick from the
-#: fanout profile in ``benchmarks/bench_simcore.py``.
+#: An implementation threshold — traces are byte-identical at any
+#: value; 4 is the n=100/300/1000 crossover pick of a fanout profile of
+#: the ``benchmarks/bench_simcore.py`` scaling legs.
 _MIN_SLOT_FANOUT = 4
 
 #: Minimum rows in a deferred (slot, link, direction) group before the
@@ -184,9 +183,6 @@ class Internet:
         #: near-simultaneous crossings share heap slots. An explicit
         #: approximation knob: trace identity is only claimed at 0.
         self.columnar_window = 0.0
-        #: Exact-columnar memo threshold (see ``_MIN_SLOT_FANOUT``);
-        #: plumbed from ``OverlayConfig.columnar_min_fanout``.
-        self.min_slot_fanout = _MIN_SLOT_FANOUT
         self._slot_bucket: object | None = None
         self._slot_profiles: dict[int, tuple] = {}
         #: Vectorized approximate settlement (:meth:`enable_vectorized`):
@@ -470,8 +466,7 @@ class Internet:
             on_drop,
             0,
         )
-        if self.sim.recycle_timers:
-            datagram._chain = event
+        datagram._chain = event
         return datagram
 
     def send_via(
@@ -483,7 +478,7 @@ class Internet:
         on_drop: DropFn | None = None,
     ) -> Datagram:
         """:meth:`send` through a pre-resolved :class:`Channel` — the
-        control-plane fast path (identical delivery semantics, counters,
+        overlay links' send path (identical delivery semantics, counters,
         and event ordering; no per-frame carrier resolution)."""
         # Reads the simulator's _now directly: this is the per-frame
         # fast path, and the property indirection shows up in profiles.
@@ -556,8 +551,7 @@ class Internet:
             on_drop,
             0,
         )
-        if self.sim.recycle_timers:
-            datagram._chain = event
+        datagram._chain = event
         return datagram
 
     def _hop(
@@ -676,7 +670,7 @@ class Internet:
         now = self.sim._now
         wire = datagram.size + HEADER_BYTES
         bucket = self.sim._drain_bucket if self._columnar else None
-        if bucket is not None and len(bucket) >= self.min_slot_fanout:
+        if bucket is not None and len(bucket) >= _MIN_SLOT_FANOUT:
             # Columnar: amortize the link's per-instant work across all
             # crossings in this slot. The profile is computed at the
             # first crossing's own firing position (so its loss-state

@@ -35,16 +35,11 @@ from repro.net.loss import (
     NoLoss,
     ScheduledOutages,
 )
-from repro.sim.events import SimulationError, Simulator
+from repro.sim.events import Simulator
 from repro.sim.rng import RngRegistry
 
 
 # ----------------------------------------------------- slot-bucket engine
-
-
-def test_columnar_requires_recycled_timers():
-    with pytest.raises(SimulationError):
-        Simulator(columnar=True, recycle_timers=False)
 
 
 def test_same_instant_events_fire_in_schedule_order():
