@@ -26,6 +26,10 @@ from repro.net.internet import Internet
 from repro.sim.trace import Counter, TraceCollector
 
 
+def _edge_sets(adj) -> dict:
+    return {u: set(nbrs) for u, nbrs in adj.items()}
+
+
 class OverlayNetwork:
     """A deployed structured overlay.
 
@@ -195,12 +199,18 @@ class OverlayNetwork:
                 if not link.up:
                     return False
         reference = None
+        reference_sets = None
         for node in self.nodes.values():
-            adj = {u: set(nbrs) for u, nbrs in node.routing.adjacency().items()}
+            adj = node.routing.adjacency()
             if reference is None:
                 reference = adj
-            elif adj != reference:
-                return False
+            elif adj is not reference:
+                # Replicas on one fingerprint share one view object, so
+                # only a replica on different content pays the compare.
+                if reference_sets is None:
+                    reference_sets = _edge_sets(reference)
+                if _edge_sets(adj) != reference_sets:
+                    return False
         return True
 
     # ----------------------------------------------------------- clients

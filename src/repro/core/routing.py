@@ -11,7 +11,7 @@ constrained flooding with a single forwarding rule.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.core.compute import (
     GRAPH_DESTINATION_PROBLEM,
@@ -20,7 +20,7 @@ from repro.core.compute import (
     GRAPH_TWO_DISJOINT,
     RouteComputeEngine,
 )
-from repro.core.linkstate import GroupDatabase, TopologyDatabase
+from repro.core.linkstate import GroupDatabase, TopologyDatabase, symmetric_view
 from repro.core.message import (
     ROUTING_ADAPTIVE,
     ROUTING_DISJOINT,
@@ -94,7 +94,8 @@ class RoutingService:
     :class:`repro.core.compute.RouteComputeEngine`, keyed by the shared
     databases' content fingerprints — so every replica that has
     converged on the same state reuses one computation instead of
-    repeating it per node. What stays local is exactly the node-relative
+    repeating it per node; the adjacency views they derive from are
+    shared the same way. What stays local is exactly the node-relative
     part: extracting this node's next hop from a shared table, the
     best-ever cost baselines, degraded-link assessments (which depend on
     this node's observation history), and the final bitmask cache.
@@ -119,10 +120,13 @@ class RoutingService:
         #: one otherwise (standalone services still get memoization).
         self.engine = engine if engine is not None else RouteComputeEngine()
         self._fingerprint: int | None = None
-        self._adj: dict = {}
-        self._sym_adj: dict = {}
+        self._adj: Mapping = {}
+        self._sym_adj: Mapping = {}
         self._masks: dict[tuple, int] = {}
-        self._cost_baselines: dict[tuple, float] = {}
+        #: Best-ever cost per directed edge, ``{u: {v: cost}}``. Rows
+        #: start as the first adjacency view's own (read-only) rows and
+        #: are copied on the first cost that beats them.
+        self._cost_baselines: dict = {}
 
     # ------------------------------------------------------- state sync
 
@@ -140,24 +144,38 @@ class RoutingService:
         fingerprint = self.topo.fingerprint
         if self._fingerprint == fingerprint:
             return
-        self._adj = self.topo.adjacency()
-        self._sym_adj = self.topo.symmetric_adjacency()
+        # Views come from the engine, keyed by fingerprint like the
+        # artifacts derived from them: every replica holding the same
+        # content reads the same objects.
+        adj = self.engine.view(fingerprint, "adj", self.topo.adjacency)
+        self._sym_adj = self.engine.view(
+            fingerprint, "sym", lambda: symmetric_view(adj)
+        )
+        self._adj = adj
         self._masks.clear()
         self._fingerprint = fingerprint
-        for u, nbrs in self._adj.items():
+        self._fold_baselines(adj)
+
+    def _fold_baselines(self, adj: Mapping) -> None:
+        """Lower each edge's best-ever cost to its cost in ``adj``."""
+        baselines = self._cost_baselines
+        for u, nbrs in adj.items():
+            row = baselines.get(u)
+            if row is None:
+                baselines[u] = nbrs
+                continue
             for v, cost in nbrs.items():
-                key = (u, v)
-                best = self._cost_baselines.get(key)
+                best = row.get(v)
                 if best is None or cost < best:
-                    self._cost_baselines[key] = cost
+                    if type(row) is not dict:
+                        row = baselines[u] = dict(row)
+                    row[v] = cost
 
     def _degraded_at(self, node: str) -> bool:
         """True if any link incident to ``node`` currently costs well
         above its best-ever cost (or is down while its peer is up)."""
         reported = self._adj.get(node, {})
-        for (u, v), baseline in self._cost_baselines.items():
-            if u != node:
-                continue
+        for v, baseline in self._cost_baselines.get(node, {}).items():
             current = reported.get(v)
             if current is None:
                 return True  # a known link at this node is down
@@ -165,9 +183,9 @@ class RoutingService:
                 return True
         return False
 
-    def adjacency(self) -> dict:
+    def adjacency(self) -> Mapping:
         """The current (directed) routing adjacency — a read-only view
-        shared with every consumer of the same replica; copy before
+        shared with every replica on the same fingerprint; copy before
         mutating."""
         self._refresh()
         return self._adj

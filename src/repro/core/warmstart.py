@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.link import MIN_SWITCH_INTERVAL, _CarrierMonitor
+from repro.core.linkstate import GroupDatabase, TopologyDatabase
 from repro.net.backbone import FWD, REV
 from repro.net.loss import NoLoss
 from repro.sim import snapshot as snap
@@ -326,7 +327,9 @@ def restore(overlay, payload: dict) -> float:
     produced the snapshot; both restores are seq-exact. Restored
     database fingerprints are recomputed canonically and checked
     against the snapshot's — a corrupt or mismatched payload fails
-    loudly instead of silently diverging.
+    loudly instead of silently diverging. So does a node whose LSU or
+    GSU counter lags its own record in its replica: it would originate
+    updates every peer drops as stale until the counter caught up.
     """
     if payload.get("format") != FORMAT_VERSION:
         raise WarmStartError(
@@ -344,6 +347,7 @@ def restore(overlay, payload: dict) -> float:
             raise WarmStartError(
                 f"snapshot link set of {node_id} does not match the overlay"
             )
+    _check_own_seqs(payload)
 
     snap.restore_clock(sim, payload["clock"])
     overlay.rngs.import_states(payload["rng"])
@@ -360,15 +364,20 @@ def restore(overlay, payload: dict) -> float:
         origin: (entry[0], frozenset(entry[1]))
         for origin, entry in payload["groups"]["records"].items()
     }
+    # One content digest per shared record, not one per replica.
+    topo_digests = TopologyDatabase.record_digests(topo_shared)
+    group_digests = GroupDatabase.record_digests(group_shared)
     for node_id, node in overlay.nodes.items():
         node.restore_warm(payload["nodes"][node_id])
         node.topo_db.load_state(
             {o: topo_shared[o] for o in payload["topo"]["order"][node_id]},
             payload["topo"]["versions"][node_id],
+            topo_digests,
         )
         node.group_db.load_state(
             {o: group_shared[o] for o in payload["groups"]["order"][node_id]},
             payload["groups"]["versions"][node_id],
+            group_digests,
         )
         for nbr, link in node.links.items():
             link.restore_warm(payload["links"][node_id][nbr])
@@ -406,6 +415,23 @@ def restore(overlay, payload: dict) -> float:
     if not overlay.converged():
         raise WarmStartError("restored overlay failed the convergence check")
     return meta["t0"]
+
+
+def _check_own_seqs(payload: dict) -> None:
+    """Every node's LSU/GSU counter must be at least the seq of its own
+    record in its own replica (records are shared across replicas; the
+    per-node order says which a replica holds)."""
+    for section, counter in (("topo", "lsu_seq"), ("groups", "gsu_seq")):
+        records = payload[section]["records"]
+        for node_id, state in payload["nodes"].items():
+            if node_id not in payload[section]["order"][node_id]:
+                continue
+            own = records[node_id][0]
+            if state[counter] < own:
+                raise WarmStartError(
+                    f"node {node_id}: {counter} {state[counter]} is below "
+                    f"the seq {own} of its own record in its replica"
+                )
 
 
 # ------------------------------------------------- constructed (tier 2)
@@ -609,6 +635,8 @@ def construct_converged(overlay, warmup: float) -> float:
     # is a flood-race artifact nothing reads back — use the all-accepted
     # upper bound. Group state has exactly one generation per origin.
     topo_version = sum(1 + degree[nid] for nid in node_ids)
+    topo_digests = TopologyDatabase.record_digests(topo_shared)
+    group_digests = GroupDatabase.record_digests(group_shared)
 
     sim.restore_clock(
         t0,
@@ -626,8 +654,8 @@ def construct_converged(overlay, warmup: float) -> float:
             "advertised": dict(topo_shared[node.id][1]),
             "protocol_epochs": 0,
         })
-        node.topo_db.load_state(topo_shared, topo_version)
-        node.group_db.load_state(group_shared, len(node_ids))
+        node.topo_db.load_state(topo_shared, topo_version, topo_digests)
+        node.group_db.load_state(group_shared, len(node_ids), group_digests)
         for link in node.links.values():
             names = link.carriers
             link.restore_warm({

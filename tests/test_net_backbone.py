@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.alg.dijkstra import next_hops
 from repro.net.backbone import FWD, REV, FiberLink, RoutingDomain
 from repro.net.loss import BernoulliLoss
 from repro.sim.events import Simulator
@@ -163,3 +164,104 @@ def test_links_enumeration():
     sim = Simulator()
     domain = _chain(sim, n=4)
     assert len(domain.links()) == 3
+
+
+# ------------------------------------------- incremental routing adjacency
+
+
+def _assert_routing_current(domain):
+    """The domain's routing adjacency is exactly what a full rebuild
+    gives right now (content and dict order, rows and entries), and
+    every next-hop table matches a reference computed from scratch."""
+    current = domain._current_adjacency()
+    route = domain._route_adj
+    assert list(route) == list(current)
+    for u, row in current.items():
+        assert list(route[u].items()) == list(row.items()), u
+    for dst in domain.routers:
+        reference = next_hops(current, dst)  # builds its own reverse
+        for router in domain.routers:
+            assert domain.next_hop(router, dst) == reference.get(router)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_incremental_adds_match_full_rebuild(seed):
+    rng = random.Random(seed)
+    sim = Simulator()
+    domain = RoutingDomain("isp", sim, convergence_delay=1.0)
+    names = iter(f"r{i}" for i in range(1000))
+    for __ in range(3):
+        domain.add_router(next(names))
+    _assert_routing_current(domain)
+
+    def add_link():
+        routers = domain.routers
+        a = rng.choice(routers) if rng.random() < 0.8 else next(names)
+        b = rng.choice([r for r in routers if r != a] or [next(names)])
+        domain.add_link(a, b, rng.choice((0.01, 0.02, 0.03)))
+
+    for __ in range(60):
+        op = rng.choice(("router", "existing-router", "link", "link", "readd",
+                         "failed-fiber", "fail-repair"))
+        pairs = [(a, b) for a in domain._adj for b in domain._adj[a]]
+        if op == "router":
+            domain.add_router(next(names))
+        elif op == "existing-router":
+            domain.add_router(rng.choice(domain.routers))
+        elif op == "link" or not pairs:
+            add_link()
+        elif op == "readd":
+            # A fresh fiber over an existing pair, either orientation;
+            # the replaced fiber may itself be failed.
+            a, b = rng.choice(pairs)
+            domain.add_link(a, b, rng.choice((0.01, 0.02, 0.03)))
+        elif op == "failed-fiber":
+            link = FiberLink(f"dark{rng.random()}", rng.choice((0.01, 0.02)))
+            link.failed = True
+            if rng.random() < 0.5:
+                domain.add_link_object(*rng.choice(pairs), link)
+            else:
+                domain.add_link_object(*rng.sample(domain.routers, 2), link)
+        else:
+            a, b = rng.choice(pairs)
+            if domain.link_between(a, b).failed:
+                domain.repair_link(a, b)
+            else:
+                domain.fail_link(a, b)
+            if rng.random() < 0.5:
+                # An add while the reconvergence is pending converges
+                # the whole domain at once.
+                add_link()
+                _assert_routing_current(domain)
+            sim.run(until=sim.now + 1.5)
+        _assert_routing_current(domain)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_native_domain_built_after_cuts_matches_full_rebuild(seed):
+    from repro.net.internet import Internet
+    from repro.sim.rng import RngRegistry
+
+    rng = random.Random(seed)
+    sim = Simulator()
+    inet = Internet(sim, RngRegistry(seed))
+    cuts = []
+    for isp in ("a", "b"):
+        domain = inet.add_isp(isp, convergence_delay=1.0)
+        for i in range(8):
+            for j in rng.sample(range(8), 3):
+                if i != j:
+                    domain.add_link(f"{isp}{i}", f"{isp}{j}",
+                                    rng.choice((0.01, 0.02)))
+                    cuts.append((isp, f"{isp}{i}", f"{isp}{j}"))
+    inet.add_peering("a", "a0", "b", "b0")
+    inet.add_peering("a", "a5", "b", "b3")
+    for isp, u, v in rng.sample(cuts, 4):
+        inet.fail_fiber(isp, u, v)  # the native domain does not exist yet
+    native = inet.native
+    assert any(link.failed for link in native.links())
+    _assert_routing_current(native)
+    sim.run(until=sim.now + 100.0)
+    for isp in inet.isps.values():
+        _assert_routing_current(isp)
+    _assert_routing_current(inet.native)

@@ -8,7 +8,9 @@ from repro.core.compute import RouteComputeEngine
 from repro.core.linkstate import GroupDatabase, TopologyDatabase
 from repro.core.message import ROUTING_ADAPTIVE, ROUTING_DISJOINT, ServiceSpec
 from repro.core.routing import LinkIndex, RoutingService
+from repro.core.warmstart import capture, construct_converged, restore
 from repro.sim.trace import Counter
+from tests.test_warmstart import N, WARMUP, _mesh
 
 EDGES = [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 3.0), ("c", "d", 1.0)]
 LINKS = [(u, v) for u, v, __ in EDGES]
@@ -239,6 +241,40 @@ class TestPerNodeBehaviour:
         assert clean_mask == disjoint_mask
         assert mask != clean_mask
 
+    def test_baselines_lowered_per_node_without_touching_shared_views(self):
+        engine = RouteComputeEngine()
+        high = {("s", "a"): 10.0, ("a", "s"): 10.0}
+        links = [(u, v) for u, v, __ in self.MESH]
+        nodes: dict = {}
+        for a, b, w in self.MESH:
+            nodes.setdefault(a, {})[b] = w
+            nodes.setdefault(b, {})[a] = w
+
+        def announce(topo, seq, overrides):
+            for origin, nbrs in nodes.items():
+                topo.update(origin, seq, {
+                    v: overrides.get((origin, v), w) for v, w in nbrs.items()
+                })
+
+        services = []
+        for __ in range(2):
+            topo = TopologyDatabase()
+            announce(topo, 1, high)
+            services.append(RoutingService(
+                "s", topo, GroupDatabase(), LinkIndex(links), engine=engine
+            ))
+        first, second = services
+        assert first.adjacency() is second.adjacency()
+        # The first node then sees the link recover and degrade again:
+        # only its own baseline drops, and the shared view keeps 10.0.
+        announce(first.topo, 2, {})
+        first.adjacency()
+        announce(first.topo, 3, high)
+        first.adjacency()
+        assert first._degraded_at("s")
+        assert not second._degraded_at("s")
+        assert second.adjacency()["s"]["a"] == 10.0
+
     def test_determinism_debug_mode(self):
         engine = RouteComputeEngine(check_determinism=True)
         svc = self._mesh_service(engine, "s")
@@ -264,3 +300,61 @@ class TestNetworkIntegration:
         # Converged triangle: one table per destination (3 computes),
         # each shared with the other two querying nodes.
         assert counters["route.hit"] >= 3
+
+
+class TestSharedViews:
+    """Replicas on one fingerprint read one engine-owned view object."""
+
+    @staticmethod
+    def _views(overlay):
+        return [node.routing.adjacency() for node in overlay.nodes.values()]
+
+    def test_constructed_replicas_share_one_view(self):
+        overlay = _mesh()
+        construct_converged(overlay, WARMUP)
+        views = self._views(overlay)
+        assert all(view is views[0] for view in views)
+        syms = [node.routing._sym_adj for node in overlay.nodes.values()]
+        assert all(sym is syms[0] for sym in syms)
+
+    def test_restored_replicas_share_one_view(self):
+        twin = _mesh()
+        construct_converged(twin, WARMUP)
+        overlay = _mesh()
+        restore(overlay, capture(twin))
+        views = self._views(overlay)
+        assert all(view is views[0] for view in views)
+        assert views[0] is not self._views(twin)[0]  # one engine per overlay
+
+    def test_diverged_replica_gets_its_own_view(self):
+        overlay = _mesh()
+        construct_converged(overlay, WARMUP)
+        assert overlay.converged()
+        shared = self._views(overlay)[0]
+        node = overlay.nodes["n04"]
+        record = dict(node.topo_db.record("n01"))
+        record[next(iter(record))] = None  # n01 reports one link down
+        node.topo_db.update("n01", node.topo_db.seq("n01") + 1, record)
+        diverged = node.routing.adjacency()
+        assert diverged is not shared
+        assert diverged != shared
+        others = [v for n, v in zip(overlay.nodes, self._views(overlay))
+                  if n != "n04"]
+        assert all(view is shared for view in others)
+        assert not overlay.converged()
+
+    def test_views_move_no_route_counter(self):
+        overlay = _mesh()
+        construct_converged(overlay, WARMUP)
+        before = overlay.counters.as_dict()
+        assert overlay.converged()
+        self._views(overlay)
+        assert overlay.counters.as_dict() == before
+        for src, node in overlay.nodes.items():
+            for dst in overlay.nodes:
+                if dst != src:
+                    node.routing.next_hop(dst)
+        # One table per destination, shared by the N - 1 other nodes.
+        assert overlay.counters.get("route.compute") == N
+        assert overlay.counters.get("route.hit") == N * (N - 2)
+        assert overlay.route_engine.generations() == 1

@@ -237,6 +237,21 @@ def test_restore_rejects_bad_payloads_and_dirty_targets():
         sim.restore_clock(1.0, 5)
 
 
+def test_restore_rejects_a_seq_counter_behind_its_own_record():
+    __, payload, __ = _organic_capture()
+    assert payload["nodes"]["n03"]["lsu_seq"] == 5
+    assert payload["topo"]["records"]["n03"][0] == 5
+    rolled = {**payload, "nodes": {**payload["nodes"]}}
+    rolled["nodes"]["n03"] = {**payload["nodes"]["n03"], "lsu_seq": 1}
+    with pytest.raises(WarmStartError, match=r"n03: lsu_seq 1 .* seq 5"):
+        restore(_mesh(), rolled)
+    rolled["nodes"]["n03"] = {**payload["nodes"]["n03"], "gsu_seq": 0}
+    with pytest.raises(WarmStartError, match=r"n03: gsu_seq 0 .* seq 1"):
+        restore(_mesh(), rolled)
+    # The unmodified payload still restores.
+    restore(_mesh(), payload)
+
+
 # ---------------------------------------- tier 2: constructed convergence
 
 
